@@ -536,9 +536,10 @@ func BenchmarkTwoHopInsert(b *testing.B) {
 // scale, here as fixed-op-count testing.B targets.
 func BenchmarkScenarioMixes(b *testing.B) {
 	base := benchGraph("social")
-	specs := workload.Resources(base, 16, 7)
-	for _, mix := range workload.Mixes() {
-		b.Run(mix.Name, func(b *testing.B) {
+	specs := workload.Scenario{}.Resources(base, 16, 7)
+	for _, sc := range workload.Scenarios() {
+		mix := sc.Mix
+		b.Run(sc.Name, func(b *testing.B) {
 			n := FromGraph(base.Clone())
 			if err := n.Batch(func(tx *Tx) error {
 				for _, spec := range specs {

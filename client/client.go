@@ -44,7 +44,9 @@ func (e *Error) Error() string {
 }
 
 // Is maps wire error codes onto the reachac sentinel errors, so callers
-// classify remote failures exactly like local ones.
+// classify remote failures exactly like local ones — including a shard
+// router's fail-closed refusal (reachac.ErrShardUnavailable), which is not
+// a policy deny.
 func (e *Error) Is(target error) bool {
 	switch target {
 	case reachac.ErrUnknownUser:
@@ -65,6 +67,8 @@ func (e *Error) Is(target error) bool {
 		return e.Code == httpapi.CodeReadOnly
 	case reachac.ErrClosed:
 		return e.Code == httpapi.CodeClosed
+	case reachac.ErrShardUnavailable:
+		return e.Code == httpapi.CodeShardUnavailable
 	}
 	return false
 }

@@ -54,6 +54,7 @@ func TestErrorMapping(t *testing.T) {
 		{httpapi.CodeResourceOwned, http.StatusConflict, reachac.ErrResourceOwned},
 		{httpapi.CodeReadOnly, http.StatusServiceUnavailable, reachac.ErrReadOnly},
 		{httpapi.CodeClosed, http.StatusServiceUnavailable, reachac.ErrClosed},
+		{httpapi.CodeShardUnavailable, http.StatusServiceUnavailable, reachac.ErrShardUnavailable},
 	}
 	for _, tc := range cases {
 		t.Run(tc.code, func(t *testing.T) {

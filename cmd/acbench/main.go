@@ -58,7 +58,7 @@ func main() {
 	log.SetPrefix("acbench: ")
 	var (
 		mode        = flag.String("mode", "embedded", "benchmark mode: embedded, http, or both")
-		addr        = flag.String("addr", "", "drive an external acserverd at this address (http mode; default self-hosts one per engine)")
+		addr        = flag.String("addr", "", "drive an external acserverd (a node, or a router started with -backends) at this address (http mode; default self-hosts one per engine)")
 		engines     = flag.String("engines", "online,index", "comma-separated engine kinds, 'planner' (cost-based routing), or 'all'")
 		scenarios   = flag.String("scenarios", "all", "comma-separated scenario names from the workload registry, or 'all' (have: "+strings.Join(workload.Names(), ", ")+")")
 		nodesCSV    = flag.String("nodes", "2000", "social graph size, or a comma list for a scaling sweep")
@@ -74,7 +74,7 @@ func main() {
 		ratesCSV    = flag.String("rates", "", "comma list of open-loop arrival rates to sweep (overrides -rate)")
 		batch       = flag.Int("batch", 16, "check-batch requesters per request")
 		zipf        = flag.Float64("zipf", 0, "requester/resource popularity skew exponent, must be > 1 (0 = workload default 1.2)")
-		shardsCSV   = flag.String("shards", "", "comma-separated shard counts; embedded mode routes each cell through an in-process shard router (http mode: labels the cells of an external acshardd)")
+		shardsCSV   = flag.String("shards", "", "comma-separated shard counts; embedded mode routes each cell through an in-process shard router (http mode: labels the cells of an external acserverd -backends router)")
 		seed        = flag.Int64("seed", 1, "workload seed")
 		syncMode    = flag.String("sync", "interval", "self-hosted server WAL fsync policy: always, interval, never")
 		out         = flag.String("out", "BENCH_acbench.json", "artifact output path")
@@ -102,7 +102,7 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	syncOpt, err := parseSync(*syncMode)
+	syncOpt, err := reachac.ParseSyncPolicy(*syncMode, benchSyncInterval)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -439,6 +439,10 @@ var allEngines = []reachac.EngineKind{
 // evaluator selection. It never reaches reachac.UseEngine.
 const plannerEngine reachac.EngineKind = -1
 
+// benchSyncInterval is the fsync cadence of self-hosted servers under
+// -sync interval.
+const benchSyncInterval = 2 * time.Millisecond
+
 // engineLabel names a cell's engine column, mapping the planner sentinel
 // to its artifact label.
 func engineLabel(kind reachac.EngineKind) string {
@@ -467,25 +471,13 @@ func parseEngines(s string) ([]reachac.EngineKind, error) {
 	return kinds, nil
 }
 
-// engineByName accepts both the canonical EngineKind names and acquery's
-// shorthands.
+// engineByName accepts reachac.ParseEngineKind's vocabulary plus the
+// "planner" pseudo-engine.
 func engineByName(s string) (reachac.EngineKind, error) {
-	for _, k := range allEngines {
-		if s == k.String() {
-			return k, nil
-		}
-	}
-	switch s {
-	case "online":
-		return reachac.Online, nil
-	case "index":
-		return reachac.Index, nil
-	case "index-paper":
-		return reachac.IndexPaperJoin, nil
-	case "planner":
+	if s == "planner" {
 		return plannerEngine, nil
 	}
-	return 0, fmt.Errorf("unknown engine %q (have online, online-dfs, online-adaptive, closure, index, index-paper, planner)", s)
+	return reachac.ParseEngineKind(s)
 }
 
 // parseScenarios resolves -scenarios against the workload registry,
@@ -562,16 +554,4 @@ func parseRates(s string, fallback float64) ([]float64, error) {
 		rates = append(rates, r)
 	}
 	return rates, nil
-}
-
-func parseSync(s string) (reachac.Option, error) {
-	switch s {
-	case "always":
-		return reachac.WithSync(reachac.SyncAlways), nil
-	case "interval":
-		return reachac.WithSyncInterval(2 * time.Millisecond), nil
-	case "never":
-		return reachac.WithSync(reachac.SyncNever), nil
-	}
-	return nil, fmt.Errorf("unknown -sync %q (have always, interval, never)", s)
 }

@@ -313,7 +313,7 @@ func TestParseHelpers(t *testing.T) {
 	if _, err := parseScenarios("nope", 8); err == nil {
 		t.Fatal("bad scenario accepted")
 	}
-	if _, err := parseSync("sometimes"); err == nil {
+	if _, err := reachac.ParseSyncPolicy("sometimes", benchSyncInterval); err == nil {
 		t.Fatal("bad sync accepted")
 	}
 }
@@ -386,12 +386,12 @@ func TestParseShards(t *testing.T) {
 
 func TestParseSyncAndOrDefault(t *testing.T) {
 	for _, mode := range []string{"always", "interval", "never"} {
-		if opt, err := parseSync(mode); err != nil || opt == nil {
-			t.Fatalf("parseSync(%q): %v", mode, err)
+		if opt, err := reachac.ParseSyncPolicy(mode, benchSyncInterval); err != nil || opt == nil {
+			t.Fatalf("ParseSyncPolicy(%q): %v", mode, err)
 		}
 	}
-	if _, err := parseSync("sometimes"); err == nil {
-		t.Fatal("parseSync accepted an unknown mode")
+	if _, err := reachac.ParseSyncPolicy("sometimes", benchSyncInterval); err == nil {
+		t.Fatal("ParseSyncPolicy accepted an unknown mode")
 	}
 	if orDefault("", "fallback") != "fallback" || orDefault("set", "fallback") != "set" {
 		t.Fatal("orDefault picked the wrong side")

@@ -9,6 +9,8 @@
 //	          [-sync always|interval|never] [-sync-interval 50ms]
 //	          [-checkpoint-every 4194304] [-max-checks 64] [-max-queue 1024]
 //	          [-coalesce 128] [-coalesce-wait 0] [-follow leader:8708]
+//	acserverd -backends host1:8708,host2:8708 [-addr :8708] [-max-checks 64]
+//	acserverd -shards 4 -dir /var/lib/acshard [-engine ...] [-sync ...]
 //
 // With -follow the daemon runs as a read replica: it mirrors the leader's
 // write-ahead log into -dir (bootstrapping from the leader's checkpoint if
@@ -18,6 +20,18 @@
 // outage. To promote, stop the daemon and restart it on the same -dir
 // without -follow: the leader restart bumps the leadership epoch, so the old
 // leader (should it return) is superseded.
+//
+// With -backends or -shards the daemon is a shard router instead
+// (internal/shard documents placement and scatter-gather): it
+// consistent-hashes users and resources across the shards and serves the
+// same API, minus the policy and shard-internal endpoints. -backends lists
+// running acserverd shards; their COUNT and ORDER define the hash ring, so
+// every router (and every acbench run) against one shard set must list them
+// identically. -shards N embeds N in-process networks, each durable in
+// <dir>/shard-<i> and configured by -engine, -sync, -sync-interval and
+// -checkpoint-every. Checks needing an unreachable shard fail closed with
+// 503 shard-unavailable; audiences degrade to a partial answer flagged with
+// X-Shard-Partial.
 //
 // The bound address is announced on stdout as "ACSERVERD_LISTEN=<addr>"
 // before serving starts, so -addr 127.0.0.1:0 (a kernel-assigned free
@@ -43,11 +57,15 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
+	"path/filepath"
+	"strings"
 	"syscall"
 	"time"
 
 	"reachac"
+	"reachac/client"
 	"reachac/internal/server"
+	"reachac/internal/shard"
 )
 
 func main() {
@@ -55,7 +73,7 @@ func main() {
 	log.SetPrefix("acserverd: ")
 	var (
 		addr         = flag.String("addr", ":8708", "listen address")
-		dir          = flag.String("dir", "", "durable network directory (required; created if absent)")
+		dir          = flag.String("dir", "", "durable network directory, created if absent (required unless -backends)")
 		engine       = flag.String("engine", "online", "evaluator: online, online-dfs, online-adaptive, closure, index, index-paper")
 		syncMode     = flag.String("sync", "always", "WAL fsync policy: always, interval, never")
 		syncInterval = flag.Duration("sync-interval", 50*time.Millisecond, "fsync cadence under -sync interval")
@@ -66,50 +84,62 @@ func main() {
 		coalesceWait = flag.Duration("coalesce-wait", 0, "how long the committer lingers for more mutations (0 = drain-only)")
 		drainTimeout = flag.Duration("drain-timeout", 30*time.Second, "graceful shutdown bound")
 		follow       = flag.String("follow", "", "run as a read replica of the leader at this address")
+		backendsFlag = flag.String("backends", "", "route across these comma-separated acserverd shard addresses")
+		shards       = flag.Int("shards", 0, "route across this many embedded shards under -dir")
 	)
 	flag.Parse()
-	if *dir == "" {
+	router := *backendsFlag != "" || *shards > 0
+	switch {
+	case *backendsFlag != "" && *shards > 0:
+		log.Fatal("-backends and -shards are mutually exclusive")
+	case router && *follow != "":
+		log.Fatal("-follow cannot be combined with -backends or -shards")
+	case *dir == "" && *backendsFlag == "":
 		flag.Usage()
 		os.Exit(2)
 	}
-	kind, err := engineKind(*engine)
+	kind, err := reachac.ParseEngineKind(*engine)
 	if err != nil {
 		log.Fatal(err)
 	}
-
-	opts := []reachac.Option{reachac.WithEngine(kind), reachac.WithCheckpointEvery(*ckptEvery)}
-	switch *syncMode {
-	case "always":
-		opts = append(opts, reachac.WithSync(reachac.SyncAlways))
-	case "interval":
-		opts = append(opts, reachac.WithSyncInterval(*syncInterval))
-	case "never":
-		opts = append(opts, reachac.WithSync(reachac.SyncNever))
-	default:
-		log.Fatalf("unknown -sync %q (have always, interval, never)", *syncMode)
-	}
-
-	if *follow != "" {
-		opts = append(opts, reachac.WithFollow(*follow))
-	}
-	n, err := reachac.Open(*dir, opts...)
+	syncOpt, err := reachac.ParseSyncPolicy(*syncMode, *syncInterval)
 	if err != nil {
 		log.Fatal(err)
 	}
-	rec := n.Recovery()
-	log.Printf("recovered %d users, %d relationships from %s (%d WAL groups past checkpoint %d, torn tail: %v)",
-		n.NumUsers(), n.NumRelationships(), *dir, rec.Groups, rec.CheckpointSeq, rec.TornTail)
-	if n.Follower() {
-		rs := n.ReplicaStatus()
-		log.Printf("following %s (epoch %d) as a read replica; mutations are rejected", rs.Leader, rs.Epoch)
-	}
-
-	srv := server.New(n, server.Config{
+	opts := []reachac.Option{reachac.WithEngine(kind), syncOpt, reachac.WithCheckpointEvery(*ckptEvery)}
+	cfg := server.Config{
 		MaxConcurrentChecks: *maxChecks,
 		MaxQueuedMutations:  *maxQueue,
 		CoalesceBatch:       *coalesce,
 		CoalesceWait:        *coalesceWait,
-	})
+	}
+
+	var srv *server.Server
+	serving := kind.String() + " engine"
+	if router {
+		r, err := newRouter(*backendsFlag, *shards, *dir, opts)
+		if err != nil {
+			log.Fatal(err)
+		}
+		srv = server.NewRouter(r, cfg)
+		serving = fmt.Sprintf("a router over %d shards", r.Shards())
+	} else {
+		if *follow != "" {
+			opts = append(opts, reachac.WithFollow(*follow))
+		}
+		n, err := reachac.Open(*dir, opts...)
+		if err != nil {
+			log.Fatal(err)
+		}
+		rec := n.Recovery()
+		log.Printf("recovered %d users, %d relationships from %s (%d WAL groups past checkpoint %d, torn tail: %v)",
+			n.NumUsers(), n.NumRelationships(), *dir, rec.Groups, rec.CheckpointSeq, rec.TornTail)
+		if n.Follower() {
+			rs := n.ReplicaStatus()
+			log.Printf("following %s (epoch %d) as a read replica; mutations are rejected", rs.Leader, rs.Epoch)
+		}
+		srv = server.New(n, cfg)
+	}
 	httpSrv := &http.Server{
 		Handler: srv,
 		// Slow-client bounds: a trickled request must not hold a connection
@@ -134,7 +164,7 @@ func main() {
 	defer stop()
 	errCh := make(chan error, 1)
 	go func() { errCh <- httpSrv.Serve(ln) }()
-	log.Printf("serving %s engine on %s", kind, ln.Addr())
+	log.Printf("serving %s on %s", serving, ln.Addr())
 
 	select {
 	case err := <-errCh:
@@ -153,24 +183,25 @@ func main() {
 	log.Print("clean shutdown")
 }
 
-// engineKind parses the -engine flag.
-func engineKind(s string) (reachac.EngineKind, error) {
-	for _, k := range []reachac.EngineKind{
-		reachac.Online, reachac.OnlineDFS, reachac.OnlineAdaptive,
-		reachac.Closure, reachac.Index, reachac.IndexPaperJoin,
-	} {
-		if s == k.String() {
-			return k, nil
+// newRouter builds the shard router over remote acserverd backends, or
+// over n embedded networks durable in dir/shard-<i>.
+func newRouter(backendsCSV string, n int, dir string, opts []reachac.Option) (*shard.Router, error) {
+	var backends []shard.Backend
+	if backendsCSV != "" {
+		for _, a := range strings.Split(backendsCSV, ",") {
+			c, err := client.New(strings.TrimSpace(a))
+			if err != nil {
+				return nil, err
+			}
+			backends = append(backends, shard.NewRemote(c))
 		}
 	}
-	// Convenience shorthands matching acquery's vocabulary.
-	switch s {
-	case "online":
-		return reachac.Online, nil
-	case "index":
-		return reachac.Index, nil
-	case "index-paper":
-		return reachac.IndexPaperJoin, nil
+	for i := 0; i < n; i++ {
+		nw, err := reachac.Open(filepath.Join(dir, fmt.Sprintf("shard-%d", i)), opts...)
+		if err != nil {
+			return nil, err
+		}
+		backends = append(backends, shard.NewEmbedded(nw))
 	}
-	return 0, fmt.Errorf("unknown -engine %q (have online, online-dfs, online-adaptive, closure, index, index-paper)", s)
+	return shard.New(context.Background(), backends, shard.Config{})
 }

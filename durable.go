@@ -59,6 +59,21 @@ func WithSyncInterval(d time.Duration) Option {
 	return func(c *openConfig) { c.sync = SyncInterval; c.syncInterval = d }
 }
 
+// ParseSyncPolicy resolves a WAL fsync policy name — "always", "interval"
+// or "never" — into its Open option; interval is the fsync cadence under
+// "interval".
+func ParseSyncPolicy(name string, interval time.Duration) (Option, error) {
+	switch name {
+	case "always":
+		return WithSync(SyncAlways), nil
+	case "interval":
+		return WithSyncInterval(interval), nil
+	case "never":
+		return WithSync(SyncNever), nil
+	}
+	return nil, fmt.Errorf("unknown sync policy %q (have always, interval, never)", name)
+}
+
 // WithCheckpointEvery sets the WAL segment size that triggers a background
 // checkpoint (default DefaultCheckpointEvery); zero or negative disables
 // automatic checkpoints, leaving compaction to explicit Checkpoint calls.

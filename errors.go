@@ -33,6 +33,11 @@ var (
 	ErrReadOnly = errors.New("network is read-only after WAL failure")
 	// ErrClosed marks a mutation on a network after Close.
 	ErrClosed = errors.New("network is closed")
+	// ErrShardUnavailable marks a decision a shard router refused because a
+	// shard it needed did not answer. Checks fail closed on it: granting
+	// access because the shard holding the denying evidence was down would
+	// turn an outage into a breach.
+	ErrShardUnavailable = errors.New("shard unavailable")
 	// ErrNotDurable marks a durability-only operation (Checkpoint) on a
 	// network not created by Open.
 	ErrNotDurable = errors.New("network is not durable")

@@ -36,8 +36,7 @@
 //
 // # Legacy surface
 //
-// The positional constructors ([OSN], [ErdosRenyi], [BarabasiAlbert],
-// [WattsStrogatz]) remain as deprecated shims over New + Build and
+// [OSN] and [OSNConfig] remain as a deprecated shim over New + Build and
 // produce byte-identical graphs to the pre-streaming implementation for
-// every seed.
+// every seed. The classical families are reached only through New.
 package generate

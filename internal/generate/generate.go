@@ -7,11 +7,9 @@ import (
 )
 
 // This file is the deprecation shim over the streaming Topology API (see
-// doc.go, topology.go, options.go). The original package surface —
-// positional-argument constructors returning a fully materialized
-// *graph.Graph — is preserved verbatim for existing call sites; each
-// constructor now builds the equivalent Topology and materializes it.
-// The osn family reproduces the legacy draw sequence exactly, so shimmed
+// doc.go, topology.go, options.go) for the osn family's original surface —
+// a config struct and a constructor returning a fully materialized
+// *graph.Graph. It reproduces the legacy draw sequence exactly, so shimmed
 // output is byte-identical to pre-redesign output for every seed.
 
 // UserName formats the i-th generated member's handle ("u000042") — the
@@ -19,41 +17,6 @@ import (
 // drivers that address a server by name (cmd/acbench's HTTP mode) rely on
 // to map node IDs back to members.
 func UserName(i int) string { return fmt.Sprintf("u%06d", i) }
-
-// ErdosRenyi returns a directed G(n, m) graph: m distinct directed edges
-// drawn uniformly, each labeled uniformly from labels.
-//
-// Deprecated: use New("er", WithNodes(n), WithEdges(m), ...) and Build,
-// or stream the Topology directly.
-func ErdosRenyi(n, m int, labels []string, seed int64) *graph.Graph {
-	return MustBuild(MustNew("er",
-		WithNodes(n), WithEdges(m), WithLabels(labels...), WithSeed(seed)))
-}
-
-// BarabasiAlbert grows a preferential-attachment graph: each new vertex
-// attaches k directed edges to existing vertices chosen proportionally to
-// their current degree, each labeled uniformly from labels.
-//
-// Deprecated: use New("ba", WithNodes(n), WithDegree(k), ...) and Build,
-// or stream the Topology directly.
-func BarabasiAlbert(n, k int, labels []string, seed int64) *graph.Graph {
-	if k < 1 {
-		k = 1
-	}
-	return MustBuild(MustNew("ba",
-		WithNodes(n), WithDegree(k), WithLabels(labels...), WithSeed(seed)))
-}
-
-// WattsStrogatz builds a small-world ring lattice: each vertex connects to
-// its k nearest clockwise neighbours, and each edge is rewired to a uniform
-// target with probability beta.
-//
-// Deprecated: use New("ws", WithNodes(n), WithDegree(k), WithRewire(beta),
-// ...) and Build, or stream the Topology directly.
-func WattsStrogatz(n, k int, beta float64, labels []string, seed int64) *graph.Graph {
-	return MustBuild(MustNew("ws",
-		WithNodes(n), WithDegree(k), WithRewire(beta), WithLabels(labels...), WithSeed(seed)))
-}
 
 // OSNConfig parameterizes the community-structured social network
 // generator.

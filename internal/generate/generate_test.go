@@ -8,8 +8,13 @@ import (
 
 var testLabels = []string{"friend", "colleague", "parent"}
 
+// build materializes one classical-family topology over testLabels.
+func build(kind string, seed int64, opts ...Option) *graph.Graph {
+	return MustBuild(MustNew(kind, append(opts, WithLabels(testLabels...), WithSeed(seed))...))
+}
+
 func TestErdosRenyi(t *testing.T) {
-	g := ErdosRenyi(100, 300, testLabels, 1)
+	g := build("er", 1, WithNodes(100), WithEdges(300))
 	if g.NumNodes() != 100 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
@@ -22,8 +27,8 @@ func TestErdosRenyi(t *testing.T) {
 }
 
 func TestErdosRenyiDeterministic(t *testing.T) {
-	a := ErdosRenyi(50, 120, testLabels, 7)
-	b := ErdosRenyi(50, 120, testLabels, 7)
+	a := build("er", 7, WithNodes(50), WithEdges(120))
+	b := build("er", 7, WithNodes(50), WithEdges(120))
 	same := true
 	a.Edges(func(e graph.Edge) bool {
 		if !b.HasEdge(e.From, e.To, a.LabelName(e.Label)) {
@@ -35,7 +40,7 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 	if !same {
 		t.Fatal("same seed produced different graphs")
 	}
-	c := ErdosRenyi(50, 120, testLabels, 8)
+	c := build("er", 8, WithNodes(50), WithEdges(120))
 	diff := false
 	a.Edges(func(e graph.Edge) bool {
 		if !c.HasEdge(e.From, e.To, a.LabelName(e.Label)) {
@@ -50,7 +55,7 @@ func TestErdosRenyiDeterministic(t *testing.T) {
 }
 
 func TestBarabasiAlbertHubs(t *testing.T) {
-	g := BarabasiAlbert(400, 3, testLabels, 3)
+	g := build("ba", 3, WithNodes(400), WithDegree(3))
 	if g.NumNodes() != 400 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}
@@ -74,7 +79,7 @@ func TestBarabasiAlbertHubs(t *testing.T) {
 }
 
 func TestWattsStrogatz(t *testing.T) {
-	g := WattsStrogatz(120, 3, 0.1, testLabels, 5)
+	g := build("ws", 5, WithNodes(120), WithDegree(3), WithRewire(0.1))
 	if g.NumNodes() != 120 {
 		t.Fatalf("nodes = %d", g.NumNodes())
 	}

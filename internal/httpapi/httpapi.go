@@ -1,7 +1,8 @@
 // Package httpapi defines the wire types and error codes of the acserverd
-// HTTP/JSON API, shared by the server (internal/server) and the typed Go
-// client (client). Users and resources travel by name — the stable,
-// human-facing identifiers — with numeric IDs included where cheap.
+// HTTP/JSON API, shared by the server (internal/server), the shard router's
+// embedded backends (internal/shard) and the typed Go client (client).
+// Users and resources travel by name — the stable, human-facing
+// identifiers — with numeric IDs included where cheap.
 package httpapi
 
 import "reachac"
@@ -21,11 +22,11 @@ const (
 	PathReachAudience = "/v1/reach-audience"
 	PathPolicies      = "/v1/policies"
 	PathAudit         = "/v1/audit"
-	// PathShardExpand and PathShardPolicies are the shard-internal endpoints
-	// the router (internal/shard, cmd/acshardd) drives: one round of the
-	// distributed reachability search, and the name-keyed policy dump the
-	// router rebuilds its routing cache from. Harmless (read-only) but
-	// useless to ordinary clients.
+	// PathShardExpand and PathShardPolicies are the shard-internal
+	// endpoints the router (internal/shard, acserverd -backends) drives:
+	// one round of the distributed reachability search, and the name-keyed
+	// policy dump the router rebuilds its routing cache from. Harmless
+	// (read-only) but useless to ordinary clients.
 	PathShardExpand   = "/v1/shard/expand"
 	PathShardPolicies = "/v1/shard/policies"
 )

@@ -129,15 +129,18 @@ func TestCheckAdmissionSheds(t *testing.T) {
 	if _, err := n.Share("photo", alice, "friend+[1]"); err != nil {
 		t.Fatal(err)
 	}
-	s := New(n, Config{MaxConcurrentChecks: 1, AdmitWait: -1})
+	s := New(n, Config{MaxConcurrentChecks: 1})
 	defer s.Shutdown(context.Background())
 
-	// Occupy the only slot directly, then expect shedding.
+	// Occupy the only slot directly, then expect shedding: a request whose
+	// context has already expired gives up without waiting out the window.
 	if !s.gate.acquire(context.Background()) {
 		t.Fatal("slot not acquired")
 	}
+	expired, cancel := context.WithCancel(context.Background())
+	cancel()
 	w := httptest.NewRecorder()
-	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, httpapi.PathCheck+"?resource=photo&requester=bob", nil))
+	s.ServeHTTP(w, httptest.NewRequest(http.MethodGet, httpapi.PathCheck+"?resource=photo&requester=bob", nil).WithContext(expired))
 	if w.Code != http.StatusServiceUnavailable || w.Header().Get("Retry-After") == "" {
 		t.Fatalf("saturated check: HTTP %d, Retry-After %q", w.Code, w.Header().Get("Retry-After"))
 	}

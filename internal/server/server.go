@@ -1,13 +1,17 @@
-// Package server is the HTTP serving layer over a reachac.Network: an
-// access-control service speaking the JSON API of internal/httpapi.
+// Package server is the one HTTP serving layer of the JSON API in
+// internal/httpapi. It answers either a local reachac.Network (New) or any
+// other Service — in practice a *shard.Router over N shards (NewRouter) —
+// with the same routes, validation, error codes and admission control.
 //
-// Reads (check, check-batch, audience, reach, audit) are answered straight
-// off the published engine snapshot through the facade's View API — no
-// per-request locking — behind a concurrency gate that sheds load with
-// 503 + Retry-After instead of queueing unboundedly. Mutations (users,
-// relationships, share, revoke) are coalesced: concurrent requests are
-// folded into shared Batch commit groups so one WAL fsync covers many
-// writers, with a bounded, deadline-aware admission queue in front.
+// Reads (check, check-batch, audience, reach, audit) pass a concurrency
+// gate that sheds load with 503 + Retry-After instead of queueing
+// unboundedly. On a local network they are answered straight off the
+// published engine snapshot through the facade's View API, with no
+// per-request locking, and mutations (users, relationships, share, revoke)
+// are coalesced: concurrent requests fold into shared Batch commit groups
+// so one WAL fsync covers many writers, behind a bounded, deadline-aware
+// admission queue. Policies, the shard-internal endpoints, WAL shipping
+// and the follower staleness header exist only on a local network.
 package server
 
 import (
@@ -19,13 +23,37 @@ import (
 	"net/http"
 	"runtime"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"reachac"
+	"reachac/client"
 	"reachac/internal/httpapi"
 )
+
+// Service is the name-keyed API a Server exposes. Both a local network and
+// *shard.Router implement it; numeric IDs in the answers are
+// backend-local. Audience and ReachAudience report in partial the indexes
+// of shards whose contribution is missing (always nil on a local network).
+type Service interface {
+	AddUser(ctx context.Context, name string, attrs map[string]any) (uint32, error)
+	UserID(ctx context.Context, name string) (uint32, error)
+	Relate(ctx context.Context, from, to, relType string, mutual bool) error
+	Unrelate(ctx context.Context, from, to, relType string) error
+	Share(ctx context.Context, resource, owner string, paths []string) (string, error)
+	Revoke(ctx context.Context, resource, rule string) (bool, error)
+	Check(ctx context.Context, resource, requester string) (httpapi.Decision, error)
+	CheckBatch(ctx context.Context, resource string, requesters []string) ([]httpapi.Decision, error)
+	Audience(ctx context.Context, resource string) (users []string, partial []int, err error)
+	Reach(ctx context.Context, owner, requester, expr string) (bool, error)
+	ReachAudience(ctx context.Context, owner, expr string) (users []string, partial []int, err error)
+	Audit(n int) []httpapi.Decision
+	Stats(ctx context.Context) httpapi.StatsResponse
+	Health(ctx context.Context) httpapi.HealthResponse
+	Close() error
+}
 
 // Config tunes the serving layer; the zero value selects the defaults.
 type Config struct {
@@ -42,13 +70,14 @@ type Config struct {
 	// after gathering the first (default 0: coalesce only what is already
 	// queued, adding no latency).
 	CoalesceWait time.Duration
-	// AdmitWait is how long a read waits for a check slot before rejection
-	// (default 100ms).
-	AdmitWait time.Duration
-	// RetryAfter is the Retry-After hint attached to 503 responses
-	// (default 1s).
-	RetryAfter time.Duration
 }
+
+const (
+	// admitWait is how long a read waits for a check slot before rejection.
+	admitWait = 100 * time.Millisecond
+	// retryAfterSecs is the Retry-After hint attached to 503 responses.
+	retryAfterSecs = "1"
+)
 
 func (c Config) withDefaults() Config {
 	if c.MaxConcurrentChecks <= 0 {
@@ -60,22 +89,16 @@ func (c Config) withDefaults() Config {
 	if c.CoalesceBatch <= 0 {
 		c.CoalesceBatch = 128
 	}
-	if c.AdmitWait == 0 {
-		c.AdmitWait = 100 * time.Millisecond
-	}
-	if c.RetryAfter <= 0 {
-		c.RetryAfter = time.Second
-	}
 	return c
 }
 
-// Server exposes one Network over HTTP. Create with New, mount as an
-// http.Handler, and call Shutdown to drain and release the network.
+// Server exposes one Service over HTTP. Create with New or NewRouter,
+// mount as an http.Handler, and call Shutdown to drain and release it.
 type Server struct {
-	net  *reachac.Network
-	cfg  Config
+	svc  Service
+	net  *reachac.Network // nil when serving a router
+	co   *coalescer       // nil when serving a router
 	mux  *http.ServeMux
-	co   *coalescer
 	gate *gate
 
 	checkRejected atomic.Uint64
@@ -89,12 +112,23 @@ type Server struct {
 // (skipped when the log is already clean) and closes the network.
 func New(n *reachac.Network, cfg Config) *Server {
 	cfg = cfg.withDefaults()
+	co := newCoalescer(n, cfg.MaxQueuedMutations, cfg.CoalesceBatch, cfg.CoalesceWait)
+	return newServer(&node{net: n, co: co}, n, co, cfg)
+}
+
+// NewRouter serves svc — a *shard.Router — over the same API. Only
+// MaxConcurrentChecks applies; Shutdown closes svc.
+func NewRouter(svc Service, cfg Config) *Server {
+	return newServer(svc, nil, nil, cfg.withDefaults())
+}
+
+func newServer(svc Service, n *reachac.Network, co *coalescer, cfg Config) *Server {
 	s := &Server{
+		svc:    svc,
 		net:    n,
-		cfg:    cfg,
+		co:     co,
 		mux:    http.NewServeMux(),
-		co:     newCoalescer(n, cfg.MaxQueuedMutations, cfg.CoalesceBatch, cfg.CoalesceWait),
-		gate:   newGate(cfg.MaxConcurrentChecks, cfg.AdmitWait),
+		gate:   newGate(cfg.MaxConcurrentChecks, admitWait),
 		closed: make(chan struct{}),
 	}
 	s.routes()
@@ -115,9 +149,14 @@ func (s *Server) routes() {
 	s.mux.HandleFunc("GET "+httpapi.PathAudience, s.handleAudience)
 	s.mux.HandleFunc("GET "+httpapi.PathReach, s.handleReach)
 	s.mux.HandleFunc("GET "+httpapi.PathReachAudience, s.handleReachAudience)
+	s.mux.HandleFunc("GET "+httpapi.PathAudit, s.handleAudit)
+	if s.net == nil {
+		return
+	}
+	// Local-network only: the policy serialization and the shard-internal
+	// endpoints embed network-local state.
 	s.mux.HandleFunc("GET "+httpapi.PathPolicies, s.handleGetPolicies)
 	s.mux.HandleFunc("PUT "+httpapi.PathPolicies, s.handlePutPolicies)
-	s.mux.HandleFunc("GET "+httpapi.PathAudit, s.handleAudit)
 	s.mux.HandleFunc("POST "+httpapi.PathShardExpand, s.handleShardExpand)
 	s.mux.HandleFunc("GET "+httpapi.PathShardPolicies, s.handleShardPolicies)
 	if src := s.net.ReplicaSource(); src != nil {
@@ -129,7 +168,7 @@ func (s *Server) routes() {
 // ServeHTTP implements http.Handler. A follower stamps every response with
 // its staleness bound, so clients can judge the freshness of what they read.
 func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	if s.net.Follower() {
+	if s.net != nil && s.net.Follower() {
 		rs := s.net.ReplicaStatus()
 		w.Header().Set(httpapi.HeaderStaleness,
 			strconv.FormatInt(time.Since(rs.LastContact).Milliseconds(), 10))
@@ -137,20 +176,24 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	s.mux.ServeHTTP(w, r)
 }
 
-// Shutdown gracefully stops the serving layer: intake closes, every queued
-// mutation commits (bounded by ctx), a final checkpoint compacts the log
-// unless nothing changed since the last one, and the network closes. The
-// HTTP listener must already be stopped (http.Server.Shutdown) so no new
-// requests race the drain. Idempotent; later calls return the first result.
+// Shutdown gracefully stops the serving layer. On a local network, intake
+// closes, every queued mutation commits (bounded by ctx), a final
+// checkpoint compacts the log unless nothing changed since the last one,
+// and the network closes; a router closes its backends. The HTTP listener
+// must already be stopped (http.Server.Shutdown) so no new requests race
+// the drain. Idempotent; later calls return the first result.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.shutdownOnce.Do(func() {
-		err := s.co.shutdown(ctx)
-		if s.net.Durable() {
-			if cerr := s.net.Checkpoint(); cerr != nil && err == nil {
-				err = cerr
+		var err error
+		if s.co != nil {
+			err = s.co.shutdown(ctx)
+			if s.net.Durable() {
+				if cerr := s.net.Checkpoint(); cerr != nil && err == nil {
+					err = cerr
+				}
 			}
 		}
-		if cerr := s.net.Close(); cerr != nil && err == nil {
+		if cerr := s.svc.Close(); cerr != nil && err == nil {
 			err = cerr
 		}
 		s.shutdownErr = err
@@ -168,11 +211,20 @@ func writeJSON(w http.ResponseWriter, status int, v any) {
 	_ = json.NewEncoder(w).Encode(v)
 }
 
-// httpError maps a facade or admission error to status + wire code. 503s
-// carry a Retry-After hint so well-behaved clients back off.
-func (s *Server) httpError(w http.ResponseWriter, err error) {
-	status, code := http.StatusInternalServerError, httpapi.CodeInternal
+// httpError maps a Service or admission error to status + wire code. A
+// remote shard's *client.Error passes through verbatim, so a router is
+// transparent to errors a shard already classified. 503s carry a
+// Retry-After hint so well-behaved clients back off.
+func httpError(w http.ResponseWriter, err error) {
+	status, code, msg := http.StatusInternalServerError, httpapi.CodeInternal, err.Error()
+	var apiErr *client.Error
 	switch {
+	case errors.As(err, &apiErr) && apiErr.Code != "":
+		status, code, msg = apiErr.Status, apiErr.Code, apiErr.Message
+	case errors.Is(err, reachac.ErrShardUnavailable):
+		status, code = http.StatusServiceUnavailable, httpapi.CodeShardUnavailable
+	case errors.Is(err, httpapi.ErrBadAttribute):
+		status, code = http.StatusBadRequest, httpapi.CodeBadRequest
 	case errors.Is(err, reachac.ErrUnknownUser):
 		status, code = http.StatusNotFound, httpapi.CodeUnknownUser
 	case errors.Is(err, reachac.ErrUnknownResource):
@@ -196,9 +248,9 @@ func (s *Server) httpError(w http.ResponseWriter, err error) {
 		status, code = http.StatusServiceUnavailable, httpapi.CodeOverloaded
 	}
 	if status == http.StatusServiceUnavailable {
-		w.Header().Set("Retry-After", strconv.Itoa(int((s.cfg.RetryAfter+time.Second-1)/time.Second)))
+		w.Header().Set("Retry-After", retryAfterSecs)
 	}
-	writeJSON(w, status, httpapi.ErrorBody{Error: err.Error(), Code: code})
+	writeJSON(w, status, httpapi.ErrorBody{Error: msg, Code: code})
 }
 
 func badRequest(w http.ResponseWriter, err error) {
@@ -215,84 +267,38 @@ func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// view pins a read snapshot or reports the failure.
-func (s *Server) view(w http.ResponseWriter) (*reachac.View, bool) {
-	v, err := s.net.View()
-	if err != nil {
-		s.httpError(w, err)
-		return nil, false
-	}
-	return v, true
-}
-
 // admit reserves a check slot, answering 503 when the server is saturated.
 func (s *Server) admit(w http.ResponseWriter, r *http.Request) bool {
 	if !s.gate.acquire(r.Context()) {
 		s.checkRejected.Add(1)
-		s.httpError(w, errSaturated)
+		httpError(w, errSaturated)
 		return false
 	}
 	return true
 }
 
-func wireDecision(v *reachac.View, d reachac.Decision) httpapi.Decision {
-	req, _ := v.UserName(d.Requester)
-	if req == "" {
-		req = strconv.FormatUint(uint64(d.Requester), 10)
+// setPartial names the shards missing from an audience answer.
+func setPartial(w http.ResponseWriter, partial []int) {
+	if len(partial) == 0 {
+		return
 	}
-	return httpapi.Decision{
-		Resource:  string(d.Resource),
-		Requester: req,
-		Effect:    d.Effect.String(),
-		Rule:      d.RuleID,
-		Reason:    d.Reason,
+	parts := make([]string, len(partial))
+	for i, idx := range partial {
+		parts[i] = strconv.Itoa(idx)
 	}
+	w.Header().Set(httpapi.HeaderShardPartial, strings.Join(parts, ","))
 }
 
 // --- handlers ---
 
 func (s *Server) handleHealth(w http.ResponseWriter, r *http.Request) {
-	st := s.net.Stats()
-	resp := httpapi.HealthResponse{
-		Status:        "ok",
-		Role:          "standalone",
-		Engine:        st.Engine,
-		Durable:       st.Durable,
-		Users:         st.Users,
-		Relationships: st.Relationships,
-	}
-	if st.Durable {
-		resp.Role = "leader"
-		rec := s.net.Recovery()
-		resp.Recovery = &httpapi.Recovery{Groups: rec.Groups, TornTail: rec.TornTail, CheckpointSeq: rec.CheckpointSeq}
-	}
-	if s.net.Follower() {
-		rs := s.net.ReplicaStatus()
-		resp.Role = "follower"
-		resp.Replica = &httpapi.Replica{
-			Epoch:       rs.Epoch,
-			Connected:   rs.Connected,
-			Halted:      rs.Halted,
-			AppliedSeq:  rs.AppliedSeq,
-			AppliedOff:  rs.AppliedOff,
-			LagBytes:    rs.LagBytes(),
-			StalenessMS: time.Since(rs.LastContact).Milliseconds(),
-		}
-	}
-	writeJSON(w, http.StatusOK, resp)
+	writeJSON(w, http.StatusOK, s.svc.Health(r.Context()))
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	writeJSON(w, http.StatusOK, httpapi.StatsResponse{
-		Stats: s.net.Stats(),
-		Server: httpapi.ServerStats{
-			CommitGroups:       s.co.groups.Load(),
-			CoalescedMutations: s.co.applied.Load(),
-			QueueRejected:      s.co.rejected.Load(),
-			CheckRejected:      s.checkRejected.Load(),
-			QueueDepth:         s.co.depth(),
-		},
-	})
+	st := s.svc.Stats(r.Context())
+	st.Server.CheckRejected = s.checkRejected.Load()
+	writeJSON(w, http.StatusOK, st)
 }
 
 func (s *Server) handleAddUser(w http.ResponseWriter, r *http.Request) {
@@ -304,48 +310,22 @@ func (s *Server) handleAddUser(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("name is required"))
 		return
 	}
-	attrs, err := attrsFromWire(req.Attrs)
+	id, err := s.svc.AddUser(r.Context(), req.Name, req.Attrs)
 	if err != nil {
-		badRequest(w, err)
+		httpError(w, err)
 		return
 	}
-	var id reachac.UserID
-	err = s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		var e error
-		id, e = tx.AddUser(req.Name, attrs...)
-		return e
-	})
-	if err != nil {
-		s.httpError(w, err)
-		return
-	}
-	writeJSON(w, http.StatusCreated, httpapi.UserResponse{ID: uint32(id), Name: req.Name})
+	writeJSON(w, http.StatusCreated, httpapi.UserResponse{ID: id, Name: req.Name})
 }
 
 func (s *Server) handleGetUser(w http.ResponseWriter, r *http.Request) {
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
 	name := r.PathValue("name")
-	id, ok := v.UserID(name)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser))
+	id, err := s.svc.UserID(r.Context(), name)
+	if err != nil {
+		httpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, httpapi.UserResponse{ID: uint32(id), Name: name})
-}
-
-// resolveTxUser looks a named member up inside the transaction, so the ID is
-// consistent with everything the commit group applied before this op (a user
-// added earlier in the same group resolves correctly).
-func resolveTxUser(tx *reachac.Tx, name string) (reachac.UserID, error) {
-	id, ok := tx.UserID(name)
-	if !ok {
-		return 0, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser)
-	}
-	return id, nil
+	writeJSON(w, http.StatusOK, httpapi.UserResponse{ID: id, Name: name})
 }
 
 func (s *Server) handleRelate(w http.ResponseWriter, r *http.Request) {
@@ -357,25 +337,8 @@ func (s *Server) handleRelate(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("from, to and type are required"))
 		return
 	}
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		from, err := resolveTxUser(tx, req.From)
-		if err != nil {
-			return err
-		}
-		to, err := resolveTxUser(tx, req.To)
-		if err != nil {
-			return err
-		}
-		if err := tx.Relate(from, to, req.Type); err != nil {
-			return err
-		}
-		if req.Mutual {
-			return tx.Relate(to, from, req.Type)
-		}
-		return nil
-	})
-	if err != nil {
-		s.httpError(w, err)
+	if err := s.svc.Relate(r.Context(), req.From, req.To, req.Type, req.Mutual); err != nil {
+		httpError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -386,19 +349,8 @@ func (s *Server) handleUnrelate(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		from, err := resolveTxUser(tx, req.From)
-		if err != nil {
-			return err
-		}
-		to, err := resolveTxUser(tx, req.To)
-		if err != nil {
-			return err
-		}
-		return tx.Unrelate(from, to, req.Type)
-	})
-	if err != nil {
-		s.httpError(w, err)
+	if err := s.svc.Unrelate(r.Context(), req.From, req.To, req.Type); err != nil {
+		httpError(w, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -419,17 +371,9 @@ func (s *Server) handleShare(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	var rule string
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		owner, err := resolveTxUser(tx, req.Owner)
-		if err != nil {
-			return err
-		}
-		rule, err = tx.Share(req.Resource, owner, req.Paths...)
-		return err
-	})
+	rule, err := s.svc.Share(r.Context(), req.Resource, req.Owner, req.Paths)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusCreated, httpapi.ShareResponse{Rule: rule})
@@ -440,13 +384,9 @@ func (s *Server) handleRevoke(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	var removed bool
-	err := s.co.enqueue(r.Context(), func(tx *reachac.Tx) error {
-		removed = tx.Revoke(req.Resource, req.Rule)
-		return nil
-	})
+	removed, err := s.svc.Revoke(r.Context(), req.Resource, req.Rule)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, httpapi.RevokeResponse{Removed: removed})
@@ -463,22 +403,12 @@ func (s *Server) handleCheck(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("resource and requester are required"))
 		return
 	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	id, ok := v.UserID(requester)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", requester, reachac.ErrUnknownUser))
-		return
-	}
-	d, err := v.CanAccess(resource, id)
+	d, err := s.svc.Check(r.Context(), resource, requester)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, wireDecision(v, d))
+	writeJSON(w, http.StatusOK, d)
 }
 
 func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
@@ -496,30 +426,12 @@ func (s *Server) handleCheckBatch(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.gate.release()
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	ids := make([]reachac.UserID, len(req.Requesters))
-	for i, name := range req.Requesters {
-		id, ok := v.UserID(name)
-		if !ok {
-			s.httpError(w, fmt.Errorf("user %q: %w", name, reachac.ErrUnknownUser))
-			return
-		}
-		ids[i] = id
-	}
-	ds, err := v.CanAccessAll(req.Resource, ids)
+	ds, err := s.svc.CheckBatch(r.Context(), req.Resource, req.Requesters)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
-	out := make([]httpapi.Decision, len(ds))
-	for i, d := range ds {
-		out[i] = wireDecision(v, d)
-	}
-	writeJSON(w, http.StatusOK, httpapi.CheckBatchResponse{Decisions: out})
+	writeJSON(w, http.StatusOK, httpapi.CheckBatchResponse{Decisions: ds})
 }
 
 func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) {
@@ -532,17 +444,13 @@ func (s *Server) handleAudience(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, errors.New("resource is required"))
 		return
 	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	ids, err := v.Audience(resource)
+	names, partial, err := s.svc.Audience(r.Context(), resource)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, httpapi.UsersResponse{Users: idsToNames(v, ids)})
+	setPartial(w, partial)
+	writeJSON(w, http.StatusOK, httpapi.UsersResponse{Users: names})
 }
 
 func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
@@ -561,24 +469,9 @@ func (s *Server) handleReach(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	oid, ok := v.UserID(owner)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", owner, reachac.ErrUnknownUser))
-		return
-	}
-	rid, ok := v.UserID(requester)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", requester, reachac.ErrUnknownUser))
-		return
-	}
-	reached, err := v.CheckPath(oid, rid, path)
+	reached, err := s.svc.Reach(r.Context(), owner, requester, path)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
 	writeJSON(w, http.StatusOK, httpapi.ReachResponse{Reachable: reached, Path: canonical})
@@ -599,38 +492,13 @@ func (s *Server) handleReachAudience(w http.ResponseWriter, r *http.Request) {
 		badRequest(w, err)
 		return
 	}
-	v, ok := s.view(w)
-	if !ok {
-		return
-	}
-	defer v.Close()
-	oid, ok := v.UserID(owner)
-	if !ok {
-		s.httpError(w, fmt.Errorf("user %q: %w", owner, reachac.ErrUnknownUser))
-		return
-	}
-	ids, err := v.PathAudience(oid, path)
+	names, partial, err := s.svc.ReachAudience(r.Context(), owner, path)
 	if err != nil {
-		s.httpError(w, err)
+		httpError(w, err)
 		return
 	}
-	writeJSON(w, http.StatusOK, httpapi.UsersResponse{Users: idsToNames(v, ids)})
-}
-
-func (s *Server) handleGetPolicies(w http.ResponseWriter, r *http.Request) {
-	w.Header().Set("Content-Type", "application/json")
-	if err := s.net.SavePolicies(w); err != nil {
-		// Headers are gone; the truncated body is the best signal left.
-		return
-	}
-}
-
-func (s *Server) handlePutPolicies(w http.ResponseWriter, r *http.Request) {
-	if err := s.net.LoadPolicies(io.LimitReader(r.Body, 64<<20)); err != nil {
-		s.httpError(w, err)
-		return
-	}
-	w.WriteHeader(http.StatusNoContent)
+	setPartial(w, partial)
+	writeJSON(w, http.StatusOK, httpapi.UsersResponse{Users: names})
 }
 
 func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
@@ -648,20 +516,35 @@ func (s *Server) handleAudit(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	v, ok := s.view(w)
-	if !ok {
+	writeJSON(w, http.StatusOK, httpapi.AuditResponse{Decisions: s.svc.Audit(n)})
+}
+
+// --- local-network handlers ---
+
+// view pins a read snapshot or reports the failure.
+func (s *Server) view(w http.ResponseWriter) (*reachac.View, bool) {
+	v, err := s.net.View()
+	if err != nil {
+		httpError(w, err)
+		return nil, false
+	}
+	return v, true
+}
+
+func (s *Server) handleGetPolicies(w http.ResponseWriter, r *http.Request) {
+	w.Header().Set("Content-Type", "application/json")
+	if err := s.net.SavePolicies(w); err != nil {
+		// Headers are gone; the truncated body is the best signal left.
 		return
 	}
-	defer v.Close()
-	trail := s.net.Audit()
-	if n > 0 && len(trail) > n {
-		trail = trail[len(trail)-n:]
+}
+
+func (s *Server) handlePutPolicies(w http.ResponseWriter, r *http.Request) {
+	if err := s.net.LoadPolicies(io.LimitReader(r.Body, 64<<20)); err != nil {
+		httpError(w, err)
+		return
 	}
-	out := make([]httpapi.Decision, len(trail))
-	for i, d := range trail {
-		out[i] = wireDecision(v, d)
-	}
-	writeJSON(w, http.StatusOK, httpapi.AuditResponse{Decisions: out})
+	w.WriteHeader(http.StatusNoContent)
 }
 
 // handleShardExpand advances one round of a distributed reachability search
@@ -702,31 +585,4 @@ func (s *Server) handleShardPolicies(w http.ResponseWriter, r *http.Request) {
 	}
 	defer v.Close()
 	writeJSON(w, http.StatusOK, httpapi.ShardPoliciesResponse{Policies: v.PolicyDump()})
-}
-
-func idsToNames(v *reachac.View, ids []reachac.UserID) []string {
-	names := make([]string, 0, len(ids))
-	for _, id := range ids {
-		if name, ok := v.UserName(id); ok {
-			names = append(names, name)
-		}
-	}
-	return names
-}
-
-func attrsFromWire(m map[string]any) ([]reachac.Attr, error) {
-	attrs := make([]reachac.Attr, 0, len(m))
-	for k, val := range m {
-		switch t := val.(type) {
-		case string:
-			attrs = append(attrs, reachac.StringAttr(k, t))
-		case bool:
-			attrs = append(attrs, reachac.BoolAttr(k, t))
-		case float64:
-			attrs = append(attrs, reachac.NumberAttr(k, t))
-		default:
-			return nil, fmt.Errorf("attribute %q: unsupported type %T (want string, number or bool)", k, val)
-		}
-	}
-	return attrs, nil
 }

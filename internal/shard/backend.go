@@ -75,27 +75,8 @@ func NewEmbedded(n *reachac.Network) *Embedded { return &Embedded{net: n} }
 // Network exposes the wrapped network (tests, stats).
 func (b *Embedded) Network() *reachac.Network { return b.net }
 
-func attrsFromMap(m map[string]any) ([]reachac.Attr, error) {
-	attrs := make([]reachac.Attr, 0, len(m))
-	for k, val := range m {
-		switch t := val.(type) {
-		case string:
-			attrs = append(attrs, reachac.StringAttr(k, t))
-		case bool:
-			attrs = append(attrs, reachac.BoolAttr(k, t))
-		case float64:
-			attrs = append(attrs, reachac.NumberAttr(k, t))
-		case int:
-			attrs = append(attrs, reachac.NumberAttr(k, float64(t)))
-		default:
-			return nil, fmt.Errorf("attribute %q: unsupported type %T (want string, number or bool)", k, val)
-		}
-	}
-	return attrs, nil
-}
-
 func (b *Embedded) AddUser(_ context.Context, name string, attrs map[string]any) (uint32, error) {
-	as, err := attrsFromMap(attrs)
+	as, err := httpapi.AttrsFromWire(attrs)
 	if err != nil {
 		return 0, err
 	}
@@ -160,20 +141,6 @@ func (b *Embedded) Revoke(_ context.Context, resource, rule string) (bool, error
 	return b.net.Revoke(resource, rule), nil
 }
 
-func wireDecision(v *reachac.View, d reachac.Decision) httpapi.Decision {
-	req, _ := v.UserName(d.Requester)
-	if req == "" {
-		req = fmt.Sprintf("%d", d.Requester)
-	}
-	return httpapi.Decision{
-		Resource:  string(d.Resource),
-		Requester: req,
-		Effect:    d.Effect.String(),
-		Rule:      d.RuleID,
-		Reason:    d.Reason,
-	}
-}
-
 func (b *Embedded) Check(_ context.Context, resource, requester string) (httpapi.Decision, error) {
 	v, err := b.net.View()
 	if err != nil {
@@ -188,7 +155,7 @@ func (b *Embedded) Check(_ context.Context, resource, requester string) (httpapi
 	if err != nil {
 		return httpapi.Decision{}, err
 	}
-	return wireDecision(v, d), nil
+	return httpapi.WireDecision(v, d), nil
 }
 
 func (b *Embedded) CheckBatch(_ context.Context, resource string, requesters []string) ([]httpapi.Decision, error) {
@@ -211,7 +178,7 @@ func (b *Embedded) CheckBatch(_ context.Context, resource string, requesters []s
 	}
 	out := make([]httpapi.Decision, len(ds))
 	for i, d := range ds {
-		out[i] = wireDecision(v, d)
+		out[i] = httpapi.WireDecision(v, d)
 	}
 	return out, nil
 }

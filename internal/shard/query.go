@@ -10,12 +10,13 @@ import (
 	"reachac"
 	"reachac/client"
 	"reachac/internal/httpapi"
+	"reachac/internal/ring"
 )
 
-// classify wraps transport-level failures as ErrShardUnavailable while
-// letting real API answers (sentinel-mapped errors, overload shedding)
-// through untouched: a shard that ANSWERED "unknown user" is healthy; a
-// shard that did not answer at all must fail the query closed.
+// classify wraps transport-level failures as reachac.ErrShardUnavailable
+// while letting real API answers (sentinel-mapped errors, overload
+// shedding) through untouched: a shard that ANSWERED "unknown user" is
+// healthy; a shard that did not answer at all must fail the query closed.
 func classify(err error) error {
 	if err == nil {
 		return nil
@@ -33,7 +34,7 @@ func classify(err error) error {
 	if errors.As(err, &apiErr) || errors.Is(err, client.ErrOverloaded) {
 		return err
 	}
-	return fmt.Errorf("%w: %v", ErrShardUnavailable, err)
+	return fmt.Errorf("%w: %v", reachac.ErrShardUnavailable, err)
 }
 
 // sweepResult is the outcome of one distributed reachability search.
@@ -105,7 +106,7 @@ func (r *Router) sweepFrom(ctx context.Context, pathExpr, requester string, seed
 				resp, err := r.backends[idx].Expand(ctx, reachac.ShardExpandRequest{
 					Path:      pathExpr,
 					Shards:    len(r.backends),
-					VNodes:    r.cfg.VNodes,
+					VNodes:    ring.DefaultVNodes,
 					Self:      idx,
 					States:    states,
 					Requester: requester,
@@ -133,7 +134,7 @@ func (r *Router) sweepFrom(ctx context.Context, pathExpr, requester string, seed
 						resp, e = b.Expand(ctx, reachac.ShardExpandRequest{
 							Path:      pathExpr,
 							Shards:    len(r.backends),
-							VNodes:    r.cfg.VNodes,
+							VNodes:    ring.DefaultVNodes,
 							Self:      idx,
 							States:    states,
 							Requester: requester,
@@ -292,7 +293,7 @@ func (r *Router) Check(ctx context.Context, resource, requester string) (httpapi
 			d, e = b.Check(ctx, resource, requester)
 			return e
 		})
-		if err = classify(err); errors.Is(err, ErrShardUnavailable) {
+		if err = classify(err); errors.Is(err, reachac.ErrShardUnavailable) {
 			r.failedClosed.Add(1)
 		}
 		return d, err
@@ -336,7 +337,7 @@ func (r *Router) decide(ctx context.Context, pol *resourcePolicy, resource, requ
 			}
 			if len(failedShards) > 0 {
 				r.failedClosed.Add(1)
-				return httpapi.Decision{}, fmt.Errorf("%w: shards %v unreachable evaluating rule %q", ErrShardUnavailable, failedShards, rule.id)
+				return httpapi.Decision{}, fmt.Errorf("%w: shards %v unreachable evaluating rule %q", reachac.ErrShardUnavailable, failedShards, rule.id)
 			}
 			if _, ok := members[requester]; !ok {
 				valid = false
@@ -367,7 +368,7 @@ func (r *Router) CheckBatch(ctx context.Context, resource string, requesters []s
 			ds, e = b.CheckBatch(ctx, resource, requesters)
 			return e
 		})
-		if err = classify(err); errors.Is(err, ErrShardUnavailable) {
+		if err = classify(err); errors.Is(err, reachac.ErrShardUnavailable) {
 			r.failedClosed.Add(1)
 		}
 		return ds, err
@@ -486,7 +487,7 @@ func (r *Router) Reach(ctx context.Context, owner, requester, expr string) (bool
 	}
 	if len(res.failed) > 0 {
 		r.failedClosed.Add(1)
-		return false, fmt.Errorf("%w: shards %v unreachable", ErrShardUnavailable, res.failed)
+		return false, fmt.Errorf("%w: shards %v unreachable", reachac.ErrShardUnavailable, res.failed)
 	}
 	return false, nil
 }

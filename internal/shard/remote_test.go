@@ -16,7 +16,7 @@ import (
 
 // newRemoteRouter stands up n real acserverd serving stacks (durable
 // Network + internal/server handler over httptest) and routes across them
-// with shard.Remote backends — the same wire path acshardd -backends takes,
+// with shard.Remote backends — the same wire path acserverd -backends takes,
 // minus the TCP listener daemonry.
 func newRemoteRouter(t *testing.T, n int) ([]shard.Backend, *shard.Router) {
 	t.Helper()

@@ -15,21 +15,8 @@ import (
 	"reachac/internal/ring"
 )
 
-// ErrShardUnavailable marks a decision the router refused because a shard it
-// needed did not answer. Checks FAIL CLOSED on it: granting access because
-// the shard holding the denying evidence was down would be an outage turning
-// into a breach. The HTTP layer maps it to 503 + CodeShardUnavailable.
-var ErrShardUnavailable = errors.New("shard unavailable")
-
-// ErrUnsupported marks an operation the router cannot offer (SetPolicies:
-// the serialization embeds shard-local IDs).
-var ErrUnsupported = errors.New("operation not supported by the shard router")
-
 // Config tunes the router; the zero value selects the defaults.
 type Config struct {
-	// VNodes is the virtual-node count per shard (default ring.DefaultVNodes).
-	// Every router and acbench run against the same shard set must agree.
-	VNodes int
 	// Concurrency bounds in-flight backend calls per scatter (default
 	// 2×shards, min 4).
 	Concurrency int
@@ -44,9 +31,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults(shards int) Config {
-	if c.VNodes <= 0 {
-		c.VNodes = ring.DefaultVNodes
-	}
 	if c.Concurrency <= 0 {
 		c.Concurrency = 2 * shards
 		if c.Concurrency < 4 {
@@ -173,7 +157,7 @@ func New(ctx context.Context, backends []Backend, cfg Config) (*Router, error) {
 		return nil, errors.New("shard: need at least one backend")
 	}
 	cfg = cfg.withDefaults(len(backends))
-	rg, err := ring.New(len(backends), cfg.VNodes)
+	rg, err := ring.New(len(backends), ring.DefaultVNodes)
 	if err != nil {
 		return nil, err
 	}
@@ -259,7 +243,7 @@ func (rp *resourcePolicy) clone() *resourcePolicy {
 func (r *Router) Shards() int { return len(r.backends) }
 
 // Owner returns the shard index owning name — exposed for tests and the CI
-// smoke script's placement assertions (via acshardd logs).
+// smoke script's placement assertions.
 func (r *Router) Owner(name string) int { return r.ring.Owner(name) }
 
 // Close releases every backend, returning the first error.
@@ -581,7 +565,7 @@ func (r *Router) Audit(n int) []httpapi.Decision {
 func (r *Router) RouterStats() httpapi.RouterStats {
 	return httpapi.RouterStats{
 		Shards:                  len(r.backends),
-		VNodes:                  r.cfg.VNodes,
+		VNodes:                  ring.DefaultVNodes,
 		FastPath:                r.fastPath.Load(),
 		Scatter:                 r.scatter.Load(),
 		ExpandCalls:             r.expandCalls.Load(),
@@ -686,14 +670,14 @@ func (r *Router) resolveUsers(ctx context.Context, names []string) (missing []st
 	cerr := r.call(ctx, r.ring.Owner(unknown[0]), func(ctx context.Context, b Backend) error {
 		var e error
 		resp, e = b.Expand(ctx, reachac.ShardExpandRequest{
-			Shards: len(r.backends), VNodes: r.cfg.VNodes, Self: r.ring.Owner(unknown[0]),
+			Shards: len(r.backends), VNodes: ring.DefaultVNodes, Self: r.ring.Owner(unknown[0]),
 			Resolve: unknown,
 		})
 		return e
 	})
 	if cerr != nil {
 		r.failedClosed.Add(1)
-		return nil, fmt.Errorf("%w: resolving users: %v", ErrShardUnavailable, cerr)
+		return nil, fmt.Errorf("%w: resolving users: %v", reachac.ErrShardUnavailable, cerr)
 	}
 	miss := make(map[string]struct{}, len(resp.Missing))
 	for _, m := range resp.Missing {

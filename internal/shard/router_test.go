@@ -175,7 +175,7 @@ func TestFailClosedCheckAndPartialAudience(t *testing.T) {
 	down := r.Owner(users[0])
 	flaky[down].down.Store(true)
 
-	if _, err := r.Check(ctx, "doc", users[3]); !errors.Is(err, shard.ErrShardUnavailable) {
+	if _, err := r.Check(ctx, "doc", users[3]); !errors.Is(err, reachac.ErrShardUnavailable) {
 		t.Fatalf("check with shard %d down: err=%v, want ErrShardUnavailable", down, err)
 	}
 	names, partial, err = r.Audience(ctx, "doc")
@@ -215,7 +215,7 @@ func TestReachFailsClosedOnIncompleteNegative(t *testing.T) {
 	}
 
 	flaky[r.Owner(users[0])].down.Store(true)
-	if _, err := r.Reach(ctx, users[0], users[2], "friend+[1,2]"); !errors.Is(err, shard.ErrShardUnavailable) {
+	if _, err := r.Reach(ctx, users[0], users[2], "friend+[1,2]"); !errors.Is(err, reachac.ErrShardUnavailable) {
 		t.Fatalf("reach with owner shard down: err=%v, want ErrShardUnavailable (incomplete negative)", err)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"net/http"
 	"net/http/httptest"
@@ -12,11 +13,14 @@ import (
 	"testing"
 
 	"reachac"
+	"reachac/client"
 	"reachac/internal/httpapi"
+	"reachac/internal/server"
 	"reachac/internal/shard"
 )
 
-// newTestServer mounts a router over n flaky shards behind the HTTP handler.
+// newTestServer serves a router over n flaky shards through the one HTTP
+// serving layer, internal/server, exactly as acserverd -shards does.
 func newTestServer(t *testing.T, n int) (*httptest.Server, *shard.Router, []*flakyBackend) {
 	t.Helper()
 	flaky := make([]*flakyBackend, n)
@@ -29,8 +33,14 @@ func newTestServer(t *testing.T, n int) (*httptest.Server, *shard.Router, []*fla
 	if err != nil {
 		t.Fatalf("shard.New: %v", err)
 	}
-	srv := httptest.NewServer(shard.NewHandler(r))
-	t.Cleanup(func() { srv.Close(); r.Close() })
+	s := server.NewRouter(r, server.Config{})
+	srv := httptest.NewServer(s)
+	t.Cleanup(func() {
+		srv.Close()
+		if err := s.Shutdown(context.Background()); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
 	return srv, r, flaky
 }
 
@@ -81,6 +91,12 @@ func TestHandlerEndToEnd(t *testing.T) {
 	wantStatus(t, resp, http.StatusConflict)
 	if body := decodeJSON[httpapi.ErrorBody](t, resp); body.Code != httpapi.CodeDuplicateUser {
 		t.Fatalf("duplicate user code = %q", body.Code)
+	}
+	// An attribute of a kind the graph cannot store is the caller's error.
+	resp = postJSON(t, base+httpapi.PathUsers, map[string]any{"name": "a", "attrs": map[string]any{"x": []int{1}}})
+	wantStatus(t, resp, http.StatusBadRequest)
+	if body := decodeJSON[httpapi.ErrorBody](t, resp); body.Code != httpapi.CodeBadRequest {
+		t.Fatalf("bad attribute code = %q", body.Code)
 	}
 
 	get, err := http.Get(base + httpapi.PathUsers + "/w3")
@@ -242,6 +258,14 @@ func TestHandlerShardOutage(t *testing.T) {
 	if body := decodeJSON[httpapi.ErrorBody](t, resp); body.Code != httpapi.CodeShardUnavailable {
 		t.Fatalf("failed-closed check code = %q, want %q", body.Code, httpapi.CodeShardUnavailable)
 	}
+	// A Go client tells the fail-closed refusal apart from a policy deny.
+	c, err := client.New(base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Check(ctx, "doc", users[3]); !errors.Is(err, reachac.ErrShardUnavailable) {
+		t.Fatalf("client check during outage: %v, want ErrShardUnavailable", err)
+	}
 
 	// Audiences degrade: 200 with the failed shard named in X-Shard-Partial.
 	resp, err = http.Get(base + httpapi.PathAudience + "?resource=doc")
@@ -270,9 +294,6 @@ func TestHandlerShardOutage(t *testing.T) {
 func TestHandlerUnrelateAndDelegatedBatch(t *testing.T) {
 	srv, r, _ := newTestServer(t, 2)
 	ctx := context.Background()
-	if shard.NewHandler(r).Router() != r {
-		t.Fatal("Handler.Router did not return the wrapped router")
-	}
 	for _, u := range []string{"p0", "p1", "p2"} {
 		if _, err := r.AddUser(ctx, u, nil); err != nil {
 			t.Fatalf("AddUser(%s): %v", u, err)

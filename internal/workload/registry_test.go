@@ -121,18 +121,19 @@ func TestScenarioCatalogsParse(t *testing.T) {
 	}
 }
 
-// TestMixShimsDelegateToRegistry: the deprecated Mixes/MixByName surface
-// must reflect the registry.
+// TestMixShimsDelegateToRegistry: the mix lookup surface (Scenarios and
+// Lookup, which replaced the Mixes/MixByName shims) must reflect the
+// registry.
 func TestMixShimsDelegateToRegistry(t *testing.T) {
-	mixes := Mixes()
-	if len(mixes) != len(Names()) {
-		t.Fatalf("Mixes() = %d entries, registry has %d", len(mixes), len(Names()))
+	scs := Scenarios()
+	if len(scs) != len(Names()) {
+		t.Fatalf("Scenarios() = %d entries, registry has %d", len(scs), len(Names()))
 	}
-	m, ok := MixByName("trust-graded")
-	if !ok || m.Check != 0.90 {
-		t.Fatalf("MixByName missed a registry scenario: %+v, %v", m, ok)
+	sc, ok := Lookup("trust-graded")
+	if !ok || sc.Mix.Check != 0.90 {
+		t.Fatalf("Lookup missed a registry scenario: %+v, %v", sc.Mix, ok)
 	}
-	if _, ok := MixByName("nope"); ok {
-		t.Fatal("MixByName invented a mix")
+	if _, ok := Lookup("nope"); ok {
+		t.Fatal("Lookup invented a scenario")
 	}
 }

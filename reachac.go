@@ -89,6 +89,25 @@ func (k EngineKind) String() string {
 	}
 }
 
+// ParseEngineKind resolves an engine name: the canonical String form of
+// every kind, plus the "online", "index" and "index-paper" shorthands.
+func ParseEngineKind(s string) (EngineKind, error) {
+	for k := Online; k <= IndexPaperJoin; k++ {
+		if s == k.String() {
+			return k, nil
+		}
+	}
+	switch s {
+	case "online":
+		return Online, nil
+	case "index":
+		return Index, nil
+	case "index-paper":
+		return IndexPaperJoin, nil
+	}
+	return 0, fmt.Errorf("unknown engine %q (have online, online-dfs, online-adaptive, closure, index, index-paper)", s)
+}
+
 // Evaluator answers reachability queries; see core.Evaluator.
 type Evaluator = core.Evaluator
 
