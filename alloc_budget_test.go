@@ -94,3 +94,63 @@ func TestCanAccessAllAllocBudget(t *testing.T) {
 		t.Fatalf("warmed CanAccessAll allocates %.2f objects/op, budget 4", allocs)
 	}
 }
+
+// TestColdCheckAllocBudget: a decision-cache miss — every call asks about a
+// requester not seen before — pays only its search and the cache insert.
+// The search runs on pooled scratch, the frozen policy view is read without
+// copying, an Allow's reason is built once per rule, the audit ring is
+// preallocated and the decision cache stores pointer-free entries, so a
+// Deny allocates nothing and an Allow at most one object (amortized map
+// growth of the cache stays below one per call).
+func TestColdCheckAllocBudget(t *testing.T) {
+	n := New()
+	const members = 4000
+	ids := make([]UserID, members)
+	for i := range ids {
+		ids[i] = n.MustAddUser(fmt.Sprintf("u%04d", i))
+	}
+	owner := ids[0]
+	for i := 1; i < members; i++ {
+		// The owner befriends everyone; colleague edges exist, but none
+		// leaves the owner.
+		if err := n.Relate(owner, ids[i], "friend"); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Relate(ids[i], ids[(i%(members-1))+1], "colleague"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if _, err := n.Share("open", owner, "friend+[1]"); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Share("closed", owner, "colleague+[1]"); err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range []struct {
+		resource string
+		want     bool
+		budget   float64
+	}{
+		{"closed", false, 0},
+		{"open", true, 1},
+	} {
+		next := 1
+		check := func() {
+			d, err := n.CanAccess(c.resource, ids[next])
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (d.Effect == Allow) != c.want {
+				t.Fatalf("%s for %d: allowed=%v, want %v", c.resource, next, d.Effect == Allow, c.want)
+			}
+			next++
+		}
+		for i := 0; i < 8; i++ { // publish the snapshot, warm plans and scratch
+			check()
+		}
+		allocs := testing.AllocsPerRun(members-100, check)
+		if allocs > c.budget {
+			t.Fatalf("cold CanAccess(%s) allocates %.2f objects/op, budget %.0f", c.resource, allocs, c.budget)
+		}
+	}
+}

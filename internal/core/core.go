@@ -53,6 +53,8 @@ type Rule struct {
 	Owner graph.NodeID
 	// Conditions all must be satisfied (conjunction).
 	Conditions []Condition
+	// reason is the Allow explanation, built once by Store.AddRule.
+	reason string
 }
 
 // Validate checks structural sanity of the rule.
@@ -105,6 +107,9 @@ type Store struct {
 	owners map[ResourceID]graph.NodeID
 	rules  map[ResourceID][]*Rule
 	nextID int
+	// frozen marks an immutable view (see Freeze): reads skip the lock and
+	// mutations panic.
+	frozen bool
 	// gen counts policy mutations (registrations, rule additions and
 	// removals). Snapshot-isolated readers record it to detect staleness;
 	// it is atomic so the check needs no lock.
@@ -137,6 +142,23 @@ func (s *Store) Clone() *Store {
 	return c
 }
 
+// Freeze returns a frozen copy of the store: an immutable policy view for
+// snapshot-isolated evaluation whose decisions read the rules without
+// locking or copying them. Mutating a frozen store panics.
+func (s *Store) Freeze() *Store {
+	c := s.Clone()
+	c.frozen = true
+	return c
+}
+
+// lock takes the write lock of a mutable store.
+func (s *Store) lock() {
+	if s.frozen {
+		panic("core: mutation of a frozen store")
+	}
+	s.mu.Lock()
+}
+
 // NewStore returns an empty policy store.
 func NewStore() *Store {
 	return &Store{
@@ -148,7 +170,7 @@ func NewStore() *Store {
 // Register declares a resource and its owner. Re-registering with a
 // different owner is an error.
 func (s *Store) Register(res ResourceID, owner graph.NodeID) error {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if cur, ok := s.owners[res]; ok && cur != owner {
 		return fmt.Errorf("core: resource %q already owned by node %d", res, cur)
@@ -165,7 +187,7 @@ func (s *Store) Register(res ResourceID, owner graph.NodeID) error {
 // can undo the registration its Share created (the rule itself having been
 // removed first).
 func (s *Store) Unregister(res ResourceID) bool {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	if _, ok := s.owners[res]; !ok || len(s.rules[res]) > 0 {
 		return false
@@ -190,7 +212,7 @@ func (s *Store) AddRule(r *Rule) error {
 	if err := r.Validate(); err != nil {
 		return err
 	}
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	owner, ok := s.owners[r.Resource]
 	if !ok {
@@ -213,6 +235,7 @@ func (s *Store) AddRule(r *Rule) error {
 			return fmt.Errorf("core: duplicate rule id %q on resource %q", r.ID, r.Resource)
 		}
 	}
+	r.reason = fmt.Sprintf("all conditions of rule %q satisfied", r.ID)
 	s.rules[r.Resource] = append(s.rules[r.Resource], r)
 	s.gen.Add(1)
 	return nil
@@ -240,7 +263,7 @@ func ruleSeq(id string) (int, bool) {
 
 // RemoveRule detaches a rule by id; it reports whether the rule existed.
 func (s *Store) RemoveRule(res ResourceID, ruleID string) bool {
-	s.mu.Lock()
+	s.lock()
 	defer s.mu.Unlock()
 	rules := s.rules[res]
 	for i, r := range rules {
@@ -258,6 +281,18 @@ func (s *Store) RemoveRule(res ResourceID, ruleID string) bool {
 		}
 	}
 	return false
+}
+
+// lookup returns a resource's owner and rules without copying the rule
+// slice, which callers must not modify: rule slices are never spliced in
+// place (see RemoveRule). A frozen store is read without locking.
+func (s *Store) lookup(res ResourceID) (graph.NodeID, []*Rule, bool) {
+	if !s.frozen {
+		s.mu.RLock()
+		defer s.mu.RUnlock()
+	}
+	owner, ok := s.owners[res]
+	return owner, s.rules[res], ok
 }
 
 // RulesFor returns a copy of the rules protecting a resource.
@@ -311,8 +346,11 @@ type Decision struct {
 // pointer so that a trail survives engine rebuilds (e.g. snapshot
 // republication after a graph mutation).
 type AuditLog struct {
-	mu    sync.Mutex
+	mu sync.Mutex
+	// trail is a ring preallocated to limit entries: it fills by append,
+	// then each Record overwrites the oldest entry, at next.
 	trail []Decision
+	next  int
 	limit int
 }
 
@@ -322,27 +360,38 @@ func NewAuditLog(limit int) *AuditLog {
 	if limit == 0 {
 		limit = 1024
 	}
-	return &AuditLog{limit: limit}
+	l := &AuditLog{limit: limit}
+	if limit > 0 {
+		l.trail = make([]Decision, 0, limit)
+	}
+	return l
 }
 
-// Record appends one decision, evicting the oldest beyond the limit.
+// Record appends one decision, overwriting the oldest beyond the limit.
 func (l *AuditLog) Record(d Decision) {
 	if l.limit < 0 {
 		return
 	}
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.trail = append(l.trail, d)
-	if len(l.trail) > l.limit {
-		l.trail = l.trail[len(l.trail)-l.limit:]
+	if len(l.trail) < l.limit {
+		l.trail = append(l.trail, d)
+		return
 	}
+	l.trail[l.next] = d
+	l.next = (l.next + 1) % l.limit
 }
 
 // Decisions returns a copy of the retained trail, oldest first.
 func (l *AuditLog) Decisions() []Decision {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return append([]Decision(nil), l.trail...)
+	if len(l.trail) == 0 {
+		return nil
+	}
+	out := make([]Decision, 0, len(l.trail))
+	out = append(out, l.trail[l.next:]...)
+	return append(out, l.trail[:l.next]...)
 }
 
 // Len returns the retained trail length without copying it.
@@ -377,7 +426,7 @@ func NewEngineWithLog(store *Store, eval Evaluator, log *AuditLog) *Engine {
 // Decide answers one access request: may requester access res?
 func (e *Engine) Decide(res ResourceID, requester graph.NodeID) (Decision, error) {
 	d := Decision{Resource: res, Requester: requester}
-	owner, ok := e.store.Owner(res)
+	owner, rules, ok := e.store.lookup(res)
 	if !ok {
 		d.Reason = "unknown resource"
 		e.record(d)
@@ -390,7 +439,7 @@ func (e *Engine) Decide(res ResourceID, requester graph.NodeID) (Decision, error
 		e.record(d)
 		return d, nil
 	}
-	for _, rule := range e.store.RulesFor(res) {
+	for _, rule := range rules {
 		valid := true
 		for _, cond := range rule.Conditions {
 			ok, err := e.eval.Reachable(rule.Owner, requester, cond.Path)
@@ -405,7 +454,7 @@ func (e *Engine) Decide(res ResourceID, requester graph.NodeID) (Decision, error
 		if valid {
 			d.Effect = Allow
 			d.RuleID = rule.ID
-			d.Reason = fmt.Sprintf("all conditions of rule %q satisfied", rule.ID)
+			d.Reason = rule.reason
 			e.record(d)
 			return d, nil
 		}

@@ -339,3 +339,32 @@ func TestEffectString(t *testing.T) {
 		t.Fatal("Effect strings")
 	}
 }
+
+// TestAuditLogWrapsAround: once full, the ring overwrites its oldest entry
+// and Decisions stays oldest-first across any number of wraps.
+func TestAuditLogWrapsAround(t *testing.T) {
+	const limit = 4
+	l := NewAuditLog(limit)
+	if got := l.Decisions(); got != nil {
+		t.Fatalf("empty log Decisions = %v, want nil", got)
+	}
+	for i := 0; i < 3*limit+2; i++ {
+		l.Record(Decision{Requester: graph.NodeID(i)})
+		want := i + 1
+		if want > limit {
+			want = limit
+		}
+		got := l.Decisions()
+		if len(got) != want || l.Len() != want {
+			t.Fatalf("after %d records: %d decisions (Len %d), want %d", i+1, len(got), l.Len(), want)
+		}
+		for j, d := range got {
+			if wantReq := graph.NodeID(i + 1 - want + j); d.Requester != wantReq {
+				t.Fatalf("after %d records: decision %d is requester %d, want %d", i+1, j, d.Requester, wantReq)
+			}
+		}
+	}
+	if cap(l.trail) != limit {
+		t.Fatalf("ring capacity %d, want the preallocated %d", cap(l.trail), limit)
+	}
+}

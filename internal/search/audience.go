@@ -43,10 +43,11 @@ func (e *Engine) AppendAudience(dst []graph.NodeID, owner graph.NodeID, p *pathe
 		return append(dst, set...), nil
 	}
 	sc := scratchPool.Get().(*scratch)
-	sc.visited = bitset(sc.visited, c.flatWords(v))
+	sc.visited = zeroBitset(sc.visited, c.flatWords(v))
 	sc.member = bitset(sc.member, (v+63)/64)
 	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
 	_, frontier, work := e.runFlat(c, sc.visited, sc.member, frontier, graph.InvalidNode, true)
+	clearVisited(c, sc.visited, frontier)
 	sc.frontier = frontier
 	dst = appendBits(dst, sc.member)
 	scratchPool.Put(sc)

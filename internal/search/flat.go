@@ -2,6 +2,7 @@ package search
 
 import (
 	"sync"
+	"sync/atomic"
 
 	"reachac/internal/graph"
 	"reachac/internal/pathexpr"
@@ -15,6 +16,16 @@ import (
 // borrow. Adjacency comes from the graph's label-partitioned CSR slabs when
 // fresh (see graph.CSR); otherwise the edge-list iteration is used and its
 // cost is fed back as CSR debt so read-heavy phases converge to the CSR.
+//
+// Scratch-zero invariant: a pooled scratch.visited is all-zero over its
+// whole capacity whenever it sits in the pool. A query therefore reslices it
+// to its own V·S words without clearing, and afterwards clears only what it
+// set: every visited state is marked exactly when it is enqueued, so the
+// frontier lists every set bit, and zeroing the word of each frontier state
+// restores the invariant in time proportional to the states visited rather
+// than to V·S (or a plain full clear when the frontier is longer than the
+// bitset). member, the audience bitset, is cleared in full on borrow
+// instead, because appendBits walks all of it anyway.
 
 // compiled is a path compiled against a graph plus the dense state layout
 // derived from it. Engines cache compiled plans per *pathexpr.Path, so the
@@ -33,12 +44,20 @@ type compiled struct {
 	anyMissing bool
 	// str is the canonical path text, cached for audience-cache keys.
 	str string
-	// rev and revPreds cache pathexpr.Reverse(p) so reverse-endpoint
-	// execution (route.go) pays the reversal allocation once per plan, not
-	// per query. rev is a stable pointer, so its own compiled form is
-	// plan-cached like any rule path.
-	rev      *pathexpr.Path
-	revPreds []pathexpr.Pred
+	// reverse caches the compiled reversal of the path for reverse-endpoint
+	// execution (route.go), built on first use, so the reversal and its
+	// compile are paid once per plan rather than per query and take no
+	// plan-cache slot of their own.
+	reverse atomic.Pointer[reversedPlan]
+	// used marks a plan served since the last plan-cache sweep.
+	used atomic.Bool
+}
+
+// reversedPlan is pathexpr.Reverse of a plan's path with its compiled form.
+type reversedPlan struct {
+	path  *pathexpr.Path
+	preds []pathexpr.Pred
+	c     *compiled
 }
 
 // maxFlatStates bounds node*states products (in bits) served by the flat
@@ -47,20 +66,21 @@ type compiled struct {
 const maxFlatStates = int64(1) << 31
 
 // newCompiled compiles p against g and lays out the dense state space.
-func newCompiled(g *graph.Graph, p *pathexpr.Path) (*compiled, error) {
-	steps, err := compile(g, p)
+func (e *Engine) newCompiled(p *pathexpr.Path) (*compiled, error) {
+	steps, err := compile(e.g, p)
 	if err != nil {
 		return nil, err
 	}
-	rev, revPreds := pathexpr.Reverse(p)
+	if e.Compiles != nil {
+		e.Compiles.Add(1)
+	}
 	c := &compiled{
 		steps:     steps,
 		stepBase:  make([]int32, len(steps)),
-		labelsLen: g.NumLabels(),
+		labelsLen: e.g.NumLabels(),
 		str:       p.String(),
-		rev:       rev,
-		revPreds:  revPreds,
 	}
+	c.used.Store(true)
 	var s int32
 	for i := range steps {
 		c.stepBase[i] = s
@@ -77,10 +97,15 @@ func newCompiled(g *graph.Graph, p *pathexpr.Path) (*compiled, error) {
 	return c, nil
 }
 
-// maxPlanCacheEntries bounds the per-engine plan cache. Rule paths are
-// stable pointers, so real policies stay far below it; ad-hoc parsed paths
-// (CheckPath) beyond the cap are compiled per query instead of cached.
-const maxPlanCacheEntries = 1024
+// minPlanSweep is the least number of plans the cache grows by between
+// sweeps. A sweep runs once the cache holds more than the survivors of the
+// previous sweep plus max(minPlanSweep, half of them), and drops every plan
+// not served since that sweep. Rule paths in use therefore stay compiled
+// however many there are, while a per-call parsed path (CheckPath,
+// PathAudience) survives at most one sweep. The cache stays within about
+// three times the working set plus minPlanSweep, and each sweep's cost is
+// amortized over at least half as many inserts as plans it keeps.
+const minPlanSweep = 1024
 
 // plan returns the cached compiled form of p, compiling (and caching) it on
 // first use or after the graph's label table has grown.
@@ -88,20 +113,52 @@ func (e *Engine) plan(p *pathexpr.Path) (*compiled, error) {
 	if v, ok := e.plans.Load(p); ok {
 		c := v.(*compiled)
 		if c.labelsLen == e.g.NumLabels() {
+			// Write the flag only when unset, so a hot plan's cache line
+			// stays shared across cores.
+			if !c.used.Load() {
+				c.used.Store(true)
+			}
 			return c, nil
 		}
 	}
-	c, err := newCompiled(e.g, p)
+	c, err := e.newCompiled(p)
 	if err != nil {
 		return nil, err
 	}
-	if _, ok := e.plans.Load(p); ok || e.planCount.Load() < maxPlanCacheEntries {
-		e.plans.Store(p, c)
-		if !ok {
-			e.planCount.Add(1)
-		}
+	e.planMu.Lock()
+	defer e.planMu.Unlock()
+	if _, replaced := e.plans.Swap(p, c); replaced {
+		return c, nil
+	}
+	e.planCount++
+	if e.planCount > e.planKept+max(minPlanSweep, e.planKept/2) {
+		e.plans.Range(func(k, v any) bool {
+			if !v.(*compiled).used.Swap(false) {
+				e.plans.Delete(k)
+				e.planCount--
+			}
+			return true
+		})
+		e.planKept = e.planCount
 	}
 	return c, nil
+}
+
+// reversePlan returns the compiled reversal of c's path (see
+// pathexpr.Reverse), building it on first use. Racing first uses may both
+// compile; either result is correct.
+func (e *Engine) reversePlan(c *compiled, p *pathexpr.Path) (*reversedPlan, error) {
+	if r := c.reverse.Load(); r != nil {
+		return r, nil
+	}
+	rev, preds := pathexpr.Reverse(p)
+	rc, err := e.newCompiled(rev)
+	if err != nil {
+		return nil, err
+	}
+	r := &reversedPlan{path: rev, preds: preds, c: rc}
+	c.reverse.Store(r)
+	return r, nil
 }
 
 // scratch is the pooled per-query working set of a flat search.
@@ -113,16 +170,34 @@ type scratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return new(scratch) }}
 
-// bitset returns b grown to words entries with the first words zeroed.
+// bitset returns b resized to words entries with every entry zeroed.
 func bitset(b []uint64, words int) []uint64 {
+	b = zeroBitset(b, words)
+	clear(b)
+	return b
+}
+
+// zeroBitset returns b resized to words entries, relying on the
+// scratch-zero invariant (see the file comment) for their contents.
+func zeroBitset(b []uint64, words int) []uint64 {
 	if cap(b) < words {
 		return make([]uint64, words)
 	}
-	b = b[:words]
-	for i := range b {
-		b[i] = 0
+	return b[:words]
+}
+
+// clearVisited restores the scratch-zero invariant of visited after a
+// search whose enqueued states are exactly frontier.
+func clearVisited(c *compiled, visited []uint64, frontier []uint64) {
+	if len(frontier) >= len(visited) {
+		clear(visited)
+		return
 	}
-	return b
+	S := uint64(c.states)
+	for _, packed := range frontier {
+		bit := (packed>>32)*S + uint64(c.stepBase[uint16(packed>>16)]) + uint64(uint16(packed))
+		visited[bit>>6] = 0
+	}
 }
 
 // packState packs (node, step, d) into one frontier word.

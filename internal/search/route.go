@@ -44,12 +44,16 @@ func (e *Engine) ReachableReverse(owner, requester graph.NodeID, p *pathexpr.Pat
 	if err != nil {
 		return false, err
 	}
-	for _, pr := range c.revPreds {
+	r, err := e.reversePlan(c, p)
+	if err != nil {
+		return false, err
+	}
+	for _, pr := range r.preds {
 		if !pr.Eval(e.g.Node(requester).Attrs) {
 			return false, nil
 		}
 	}
-	return e.Reachable(requester, owner, c.rev)
+	return e.reachable(r.c, requester, owner, r.path)
 }
 
 // seedCount counts the traversals of node n admitted as a first edge with

@@ -110,10 +110,18 @@ type Engine struct {
 	// DFS selects depth-first instead of breadth-first exploration. Both
 	// return identical decisions; DFS may find longer witnesses.
 	DFS bool
+	// Compiles, when set, counts plan compilations (see flat.go). A facade
+	// shares one counter across the engines of its successive snapshots;
+	// it must be set before the engine serves queries.
+	Compiles *atomic.Uint64
 	// plans caches compiled paths per *pathexpr.Path (see flat.go); paths
 	// must not be mutated after first use, which rule storage guarantees.
-	plans     sync.Map
-	planCount atomic.Int64
+	plans sync.Map
+	// planMu serializes plan-cache inserts and sweeps; planCount and
+	// planKept (the survivors of the last sweep) are guarded by it.
+	planMu    sync.Mutex
+	planCount int
+	planKept  int
 }
 
 // New returns an online-search evaluator over g.
@@ -141,6 +149,12 @@ func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (boo
 	if err != nil {
 		return false, err
 	}
+	return e.reachable(c, owner, requester, p)
+}
+
+// reachable is Reachable with p already compiled to c and both endpoints
+// valid.
+func (e *Engine) reachable(c *compiled, owner, requester graph.NodeID, p *pathexpr.Path) (bool, error) {
 	if c.anyMissing {
 		// A label absent from the graph can never be matched.
 		return false, nil
@@ -151,9 +165,10 @@ func (e *Engine) Reachable(owner, requester graph.NodeID, p *pathexpr.Path) (boo
 		return ok, werr
 	}
 	sc := scratchPool.Get().(*scratch)
-	sc.visited = bitset(sc.visited, c.flatWords(v))
+	sc.visited = zeroBitset(sc.visited, c.flatWords(v))
 	frontier := seedFlat(c, sc.visited, sc.frontier[:0], owner)
 	found, frontier, work := e.runFlat(c, sc.visited, nil, frontier, requester, false)
+	clearVisited(c, sc.visited, frontier)
 	sc.frontier = frontier
 	scratchPool.Put(sc)
 	if e.g.FreshCSR() == nil {

@@ -610,6 +610,7 @@ func (r *Router) Stats(ctx context.Context) httpapi.StatsResponse {
 		agg.DecisionCacheHits += st.DecisionCacheHits
 		agg.DecisionCacheMisses += st.DecisionCacheMisses
 		agg.DecisionCacheEvictions += st.DecisionCacheEvictions
+		agg.PlanCompiles += st.PlanCompiles
 		agg.Checkpoints += st.Checkpoints
 		agg.CheckpointsSkipped += st.CheckpointsSkipped
 		agg.WALAppends += st.WALAppends

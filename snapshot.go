@@ -136,15 +136,18 @@ func labelsForStore(view *core.Store) func(core.ResourceID) []string {
 }
 
 // buildEvaluator constructs the evaluator of the given kind over g, which
-// must not be mutated afterwards.
-func buildEvaluator(kind EngineKind, g *graph.Graph) (Evaluator, error) {
+// must not be mutated afterwards. Online engines count their plan
+// compilations into compiles.
+func buildEvaluator(kind EngineKind, g *graph.Graph, compiles *atomic.Uint64) (Evaluator, error) {
 	switch kind {
-	case Online:
-		return search.New(g), nil
-	case OnlineDFS:
-		return search.NewDFS(g), nil
-	case OnlineAdaptive:
-		return search.NewAdaptive(g), nil
+	case Online, OnlineDFS, OnlineAdaptive:
+		e := search.New(g)
+		e.DFS = kind == OnlineDFS
+		e.Compiles = compiles
+		if kind == OnlineAdaptive {
+			return search.Adaptive{Engine: e}, nil
+		}
+		return e, nil
 	case Closure:
 		return tclosure.New(g), nil
 	case Index:
@@ -162,6 +165,14 @@ func buildEvaluator(kind EngineKind, g *graph.Graph) (Evaluator, error) {
 	default:
 		return nil, fmt.Errorf("reachac: unknown engine kind %d", int(kind))
 	}
+}
+
+// newAudienceCache returns an empty audience cache over g whose engine
+// counts plan compilations into the network's counter.
+func (n *Network) newAudienceCache(g *graph.Graph) *search.AudienceCache {
+	aud := search.NewAudienceCache(g)
+	aud.Engine().Compiles = &n.ctr.planCompiles
+	return aud
 }
 
 // snapshot returns the current engine snapshot pinned for one read
@@ -271,16 +282,16 @@ func (n *Network) publishLocked() (*snapshot, error) {
 		// run the dense read path from the first call.
 		gc.CSR()
 		var err error
-		eval, err = buildEvaluator(n.kind, gc)
+		eval, err = buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
 		if err != nil {
 			return nil, err
 		}
-		aud = search.NewAudienceCache(gc)
+		aud = n.newAudienceCache(gc)
 	}
 	if refs == nil {
 		refs = new(atomic.Int64)
 	}
-	view := store.Clone()
+	view := store.Freeze()
 	if dc == nil {
 		dc = planner.NewDecisionCache(labelsForStore(view), n.planner.CacheCounters())
 	}
@@ -371,7 +382,7 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 	// Advance requires.
 	aud := spare.aud
 	if aud == nil {
-		aud = search.NewAudienceCache(gc)
+		aud = n.newAudienceCache(gc)
 	} else {
 		aud.Advance(deltas)
 	}
@@ -390,7 +401,7 @@ func (n *Network) advanceSpareLocked(cur *snapshot, store *core.Store, gen uint6
 	}
 	// Evaluator declined (or the engine kind changed): the advanced clone
 	// is still sound, rebuild only the evaluator over it.
-	eval, err := buildEvaluator(n.kind, gc)
+	eval, err := buildEvaluator(n.kind, gc, &n.ctr.planCompiles)
 	if err != nil {
 		return nil, nil, nil, nil
 	}

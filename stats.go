@@ -42,6 +42,13 @@ type Stats struct {
 	DecisionCacheMisses    uint64 `json:"decision_cache_misses"`
 	DecisionCacheEvictions uint64 `json:"decision_cache_evictions"`
 
+	// PlanCompiles counts path compilations by the online search engines
+	// (forward and reversed plans). Once the rule paths in use are
+	// compiled it grows only with new rules, ad-hoc CheckPath/PathAudience
+	// paths and label-table growth; steady growth under a fixed policy
+	// means plans are being recompiled per query.
+	PlanCompiles uint64 `json:"plan_compiles"`
+
 	// PlannerRoute* count reachability queries answered per strategy when
 	// planner routing is enabled (WithPlanner); all zero otherwise.
 	// PlannerMigrations counts applied whole-network engine migrations and
@@ -120,6 +127,7 @@ func (s Stats) Delta(prev Stats) Stats {
 	d.DecisionCacheHits -= prev.DecisionCacheHits
 	d.DecisionCacheMisses -= prev.DecisionCacheMisses
 	d.DecisionCacheEvictions -= prev.DecisionCacheEvictions
+	d.PlanCompiles -= prev.PlanCompiles
 	d.PlannerRouteAudience -= prev.PlannerRouteAudience
 	d.PlannerRouteFlatForward -= prev.PlannerRouteFlatForward
 	d.PlannerRouteFlatReverse -= prev.PlannerRouteFlatReverse
@@ -141,6 +149,7 @@ type counters struct {
 	mutations      atomic.Uint64
 	batches        atomic.Uint64
 	republications atomic.Uint64
+	planCompiles   atomic.Uint64
 	ckptTaken      atomic.Uint64
 	ckptSkipped    atomic.Uint64
 }
@@ -164,6 +173,7 @@ func (n *Network) Stats() Stats {
 		Mutations:          n.ctr.mutations.Load(),
 		Batches:            n.ctr.batches.Load(),
 		Republications:     n.ctr.republications.Load(),
+		PlanCompiles:       n.ctr.planCompiles.Load(),
 		Checkpoints:        n.ctr.ckptTaken.Load(),
 		CheckpointsSkipped: n.ctr.ckptSkipped.Load(),
 		AuditRetained:      n.audit.Len(),

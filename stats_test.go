@@ -1,6 +1,9 @@
 package reachac
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+)
 
 // TestStatsDelta: Delta must subtract the monotonic counters and carry
 // the gauges — the contract acbench's per-scenario counter attribution
@@ -57,5 +60,53 @@ func TestStatsDeltaLive(t *testing.T) {
 	}
 	if d.Mutations != 0 {
 		t.Fatalf("window mutations = %d, want 0", d.Mutations)
+	}
+}
+
+// TestPlanCompilesStayAtOnePerRulePath: with more rule paths than the
+// search engine's plan-cache sweep floor (1024), every path compiles once
+// (forward, plus its reversal when the planner runs it from the
+// requester), and deciding the same resources for new requesters — fresh
+// searches, not decision-cache hits — compiles nothing more.
+func TestPlanCompilesStayAtOnePerRulePath(t *testing.T) {
+	n := New(WithPlanner(PlannerOptions{}))
+	const members, resources = 40, 1500
+	ids := make([]UserID, members)
+	for i := range ids {
+		ids[i] = n.MustAddUser(fmt.Sprintf("u%02d", i))
+	}
+	for i := range ids {
+		if err := n.Relate(ids[i], ids[(i+1)%members], "friend"); err != nil {
+			t.Fatal(err)
+		}
+		if err := n.Relate(ids[i], ids[(i+3)%members], "colleague"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	paths := []string{"friend+[1,2]", "friend+[1]/colleague+[1]", "colleague-[1]", "friend*[1,3]"}
+	for r := 0; r < resources; r++ {
+		if _, err := n.Share(fmt.Sprintf("res-%04d", r), ids[r%members], paths[r%len(paths)]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	decideAll := func(offset int) {
+		for r := 0; r < resources; r++ {
+			req := ids[(r+offset)%members]
+			if _, err := n.CanAccess(fmt.Sprintf("res-%04d", r), req); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	before := n.Stats().PlanCompiles
+	decideAll(1)
+	warm := n.Stats().PlanCompiles - before
+	if warm == 0 || warm > 2*resources {
+		t.Fatalf("warm-up compiled %d plans for %d rule paths, want between 1 and %d", warm, resources, 2*resources)
+	}
+	for offset := 2; offset < 8; offset++ {
+		decideAll(offset)
+	}
+	if extra := n.Stats().PlanCompiles - before - warm; extra != 0 {
+		t.Fatalf("%d plans recompiled after warm-up", extra)
 	}
 }
